@@ -1,10 +1,11 @@
 //! A TCP client component: the IMCLIENT variant of §3 over sockets.
 //!
-//! The client binds a reply listener, keeps an [`Image`] corrected by
-//! IAMs, addresses servers with CHOOSEFROMIMAGE, and applies the direct
-//! termination protocol of §4.3 to decide when a query is complete.
+//! The client binds a reply listener served by a reader thread of its
+//! own, keeps an [`Image`] corrected by IAMs, addresses servers with
+//! CHOOSEFROMIMAGE, and applies the direct termination protocol of §4.3
+//! to decide when a query is complete.
 
-use crate::node::{read_frame, send_message, Deployment};
+use crate::node::{accept_frames, send_message, wake, Deployment};
 use crate::NetCluster;
 use sdr_core::ids::{ClientId, NodeRef, QueryId};
 use sdr_core::msg::{
@@ -13,8 +14,10 @@ use sdr_core::msg::{
 use sdr_core::{DirectAccounting, Image, Object, ServerId};
 use sdr_geom::{Point, Rect};
 use std::net::TcpListener;
-use std::sync::atomic::AtomicU32;
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Errors a network client can hit.
@@ -60,7 +63,13 @@ static NEXT_CLIENT: AtomicU32 = AtomicU32::new(0);
 pub struct NetClient {
     id: ClientId,
     image: Image,
-    listener: TcpListener,
+    /// Frames addressed to this client, in arrival order, queued by
+    /// `reader`.
+    inbox: Receiver<Message>,
+    /// The reply listener's port and its reader thread (joined on drop).
+    port: u16,
+    reader: Option<JoinHandle<()>>,
+    reader_stop: Arc<AtomicBool>,
     deployment: Arc<Deployment>,
     next_qid: u64,
     /// The deployment's delivery-failure count as of the last check, so
@@ -71,30 +80,32 @@ pub struct NetClient {
     pub timeout: Duration,
 }
 
-/// How long [`NetClient::insert`] keeps listening for a late
-/// acknowledgment after quiescence. Bounded: an insert with no pending
-/// ack costs exactly this much extra, and one grace period is the most
-/// any delivery-failure scenario may stall an operation beyond its own
-/// work.
-pub const ACK_GRACE: Duration = Duration::from_millis(5);
-
 impl NetClient {
     /// Connects a fresh client (empty image; server 0 as contact).
     pub fn connect(cluster: &NetCluster) -> std::io::Result<NetClient> {
-        let id = ClientId(NEXT_CLIENT.fetch_add(1, std::sync::atomic::Ordering::SeqCst));
+        let id = ClientId(NEXT_CLIENT.fetch_add(1, Ordering::SeqCst));
         let deployment = cluster.deployment.clone();
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        deployment.register(Endpoint::Client(id), listener.local_addr()?.port());
-        listener.set_nonblocking(true)?;
-        let failures_seen = std::cell::Cell::new(
-            deployment
-                .delivery_failures
-                .load(std::sync::atomic::Ordering::SeqCst),
-        );
+        let port = listener.local_addr()?.port();
+        let (queue, inbox) = mpsc::channel();
+        let reader_stop = Arc::new(AtomicBool::new(false));
+        let reader = {
+            let deployment = deployment.clone();
+            let stop = reader_stop.clone();
+            std::thread::Builder::new()
+                .name(format!("sdr-client-{}", id.0))
+                .spawn(move || read_replies(&deployment, &listener, &stop, &queue))?
+        };
+        deployment.register(Endpoint::Client(id), port);
+        let failures_seen =
+            std::cell::Cell::new(deployment.delivery_failures.load(Ordering::SeqCst));
         Ok(NetClient {
             id,
             image: Image::new(),
-            listener,
+            inbox,
+            port,
+            reader: Some(reader),
+            reader_stop,
             deployment,
             next_qid: 0,
             failures_seen,
@@ -106,10 +117,7 @@ impl NetClient {
     /// this client last checked: the current operation may have lost a
     /// message, and waiting for a timeout would misattribute the cause.
     fn check_failures(&self) -> Result<(), NetError> {
-        let now = self
-            .deployment
-            .delivery_failures
-            .load(std::sync::atomic::Ordering::SeqCst);
+        let now = self.deployment.delivery_failures.load(Ordering::SeqCst);
         if now != self.failures_seen.get() {
             self.failures_seen.set(now);
             return Err(NetError::Undeliverable);
@@ -138,35 +146,44 @@ impl NetClient {
         );
     }
 
-    /// Waits for the next reply frame addressed to this client.
-    fn recv(&self, deadline: Instant) -> Result<Message, NetError> {
+    /// Blocks until `ready` yields a value; `ready` is told whether
+    /// nothing is in flight. Before it is asked on a quiet wire, the
+    /// fault layer's delay lane is flushed: only that lane can still
+    /// hold a frame then. Fails fast with [`NetError::Undeliverable`] if
+    /// the deployment recorded a delivery failure, instead of hanging
+    /// out the full timeout: a lost message will never arrive, so there
+    /// is nothing truthful to wait for.
+    fn wait_for<T>(
+        &self,
+        deadline: Instant,
+        mut ready: impl FnMut(bool) -> Option<T>,
+    ) -> Result<T, NetError> {
         loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    if let Some(msg) = read_frame(stream) {
-                        return Ok(msg);
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    self.check_failures()?;
-                    if Instant::now() > deadline {
-                        return Err(NetError::Timeout);
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                    // An idle wait is a send event for the fault layer's
-                    // delay clock; without this, a delayed message that
-                    // nobody else's traffic ticks forward would stall
-                    // the receive loop out to its full timeout.
-                    self.deployment.flush_delayed(false);
-                }
-                Err(e) => return Err(NetError::Io(e)),
+            let seen = self.deployment.event_seq();
+            self.check_failures()?;
+            let quiet = self.deployment.in_flight.load(Ordering::SeqCst) <= 0;
+            if quiet && self.deployment.flush_delayed(true) > 0 {
+                continue;
+            }
+            if let Some(value) = ready(quiet) {
+                return Ok(value);
+            }
+            if !self.deployment.wait_event(seen, deadline) {
+                return Err(NetError::Timeout);
             }
         }
     }
 
-    /// Inserts an object. Returns once the insert is *dispatched*; if an
-    /// out-of-range path produced an IAM, a short grace read absorbs it
-    /// (inserts are acknowledged only when repaired, §3.2).
+    /// Waits for the next frame addressed to this client.
+    fn recv(&self, deadline: Instant) -> Result<Message, NetError> {
+        self.wait_for(deadline, |_| self.inbox.try_recv().ok())
+    }
+
+    /// Inserts an object and waits for the structure to quiesce. An
+    /// out-of-range path produces an acknowledgment carrying an IAM
+    /// (inserts are acknowledged only when repaired, §3.2); quiescence
+    /// guarantees it is already in the inbox, and its IAM corrects the
+    /// image before this returns.
     pub fn insert(&mut self, obj: Object) -> Result<(), NetError> {
         let target = self.image.choose(&obj.mbb);
         let iam_to = ImageHolder::Client(self.id);
@@ -205,51 +222,23 @@ impl NetClient {
         // problem the paper leaves open (§6), so the client — like the
         // paper's own evaluation — issues one operation at a time.
         self.quiesce()?;
-        // Absorb pending acks/IAMs within a short bounded grace window
-        // (direct inserts are never acknowledged, §3.2, so we do not
-        // insist on one). A zero-grace read would lose an ack still in
-        // the kernel backlog and its IAM trace would never correct the
-        // image; stray acks that slip past even this window are folded
-        // in by the receive loops of later operations.
-        let grace = Instant::now() + ACK_GRACE;
-        while let Ok(Message { payload, .. }) = self.recv(grace) {
+        // Client-bound frames count as in flight until they are queued,
+        // so every ack is here now; direct inserts have none (§3.2).
+        while let Ok(Message { payload, .. }) = self.inbox.try_recv() {
             if let Payload::InsertAck { trace, .. } = payload {
                 self.image.absorb(&trace);
-                break;
             }
         }
         Ok(())
     }
 
-    /// Blocks until no server-bound message is in flight anywhere in the
-    /// deployment — including messages parked by delay injection, which
-    /// are flushed once everything else has settled. Fails fast with
-    /// [`NetError::Undeliverable`] if the deployment recorded a delivery
-    /// failure, instead of hanging out the full timeout: a lost message
-    /// will never arrive, so there is nothing truthful to wait for.
+    /// Blocks until no frame is in flight anywhere in the deployment —
+    /// including replies not yet queued in a client's inbox, and
+    /// messages parked by delay injection, which are flushed once
+    /// everything else has settled. Fails fast with
+    /// [`NetError::Undeliverable`] on a delivery failure.
     pub fn quiesce(&self) -> Result<(), NetError> {
-        let deadline = Instant::now() + self.timeout;
-        loop {
-            self.check_failures()?;
-            if self
-                .deployment
-                .in_flight
-                .load(std::sync::atomic::Ordering::SeqCst)
-                > 0
-            {
-                if Instant::now() > deadline {
-                    return Err(NetError::Timeout);
-                }
-                std::thread::sleep(Duration::from_micros(200));
-                continue;
-            }
-            // Quiet on the wire: release anything the fault layer is
-            // still holding back, and wait again if that re-armed it.
-            if self.deployment.flush_delayed(true) > 0 {
-                continue;
-            }
-            return Ok(());
-        }
+        self.wait_for(Instant::now() + self.timeout, |quiet| quiet.then_some(()))
     }
 
     /// Runs a point query and returns the matching objects.
@@ -318,9 +307,9 @@ impl NetClient {
                     self.image.absorb(&trace);
                 }
                 // Replies from older queries (late branches) drop.
-                // A stray ack from an earlier insert that outlived its
-                // grace window: fold its IAM into the image rather than
-                // discarding the correction.
+                // A stray ack from an earlier insert that failed before
+                // draining its acks: fold its IAM into the image rather
+                // than discarding the correction.
                 Payload::InsertAck { trace, .. } => self.image.absorb(&trace),
                 _ => {}
             }
@@ -442,5 +431,98 @@ impl NetClient {
         // Deletion may trigger eliminations and rotations; quiesce.
         self.quiesce()?;
         Ok(removed)
+    }
+}
+
+impl Drop for NetClient {
+    /// Stops addressing this client, then wakes its reader out of
+    /// `accept` and joins it.
+    fn drop(&mut self) {
+        self.deployment.deregister(Endpoint::Client(self.id));
+        self.reader_stop.store(true, Ordering::SeqCst);
+        wake(self.port);
+        if let Some(reader) = self.reader.take() {
+            let _ = reader.join();
+        }
+    }
+}
+
+/// A client's reply reader: queues every frame in the client's inbox
+/// *before* settling its `in_flight` count, so a quiescent deployment
+/// has every reply already queued, then wakes the client.
+fn read_replies(
+    deployment: &Deployment,
+    listener: &TcpListener,
+    stop: &AtomicBool,
+    queue: &Sender<Message>,
+) {
+    accept_frames(listener, stop, |frame| match frame {
+        Some(msg) => {
+            let _ = queue.send(msg);
+            deployment.in_flight.fetch_sub(1, Ordering::SeqCst);
+            deployment.notify();
+        }
+        // A truncated or undecodable reply: book it, so the operation
+        // waiting for it fails fast instead of timing out.
+        None => deployment.read_failure(),
+    });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sdr_core::{Oid, SdrConfig};
+    use std::io::Write;
+    use std::net::TcpStream;
+
+    /// A truncated client-bound frame used to be discarded without a
+    /// record, so the operation waiting for it sat out its full timeout.
+    /// Now it is booked like a lost server-bound frame: its `in_flight`
+    /// count settles, `delivery_failures` advances, and the waiting
+    /// operation fails fast with `Undeliverable`.
+    #[test]
+    fn truncated_reply_frame_is_booked_as_a_delivery_failure() {
+        let cluster = NetCluster::launch(SdrConfig::with_capacity(25)).unwrap();
+        let mut client = NetClient::connect(&cluster).unwrap();
+        client.timeout = Duration::from_secs(30);
+        let port = cluster
+            .deployment
+            .lookup(Endpoint::Client(client.id))
+            .expect("client registered");
+
+        // Count the frame the way a sender would, then deliver only part
+        // of it: the length prefix promises 64 bytes, 3 arrive.
+        cluster.deployment.in_flight.fetch_add(1, Ordering::SeqCst);
+        let mut raw = TcpStream::connect(("127.0.0.1", port)).unwrap();
+        raw.write_all(&64u32.to_be_bytes()).unwrap();
+        raw.write_all(&[1, 2, 3]).unwrap();
+        drop(raw);
+
+        let started = Instant::now();
+        let err = client.point_query(Point::new(0.5, 0.5));
+        assert!(
+            matches!(err, Err(NetError::Undeliverable)),
+            "expected Undeliverable, got {err:?}"
+        );
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "failure report took {:?}",
+            started.elapsed()
+        );
+        assert_eq!(cluster.delivery_failures(), 1);
+        client.quiesce().unwrap();
+        assert_eq!(
+            cluster.in_flight(),
+            0,
+            "the truncated frame was not settled"
+        );
+
+        // The client keeps working afterwards.
+        client
+            .insert(Object::new(Oid(1), Rect::new(0.4, 0.4, 0.41, 0.41)))
+            .unwrap();
+        let hits = client.point_query(Point::new(0.405, 0.405)).unwrap();
+        assert!(hits.iter().any(|o| o.oid == Oid(1)));
+        cluster.shutdown();
     }
 }

@@ -1,11 +1,11 @@
 //! Process-local deployment manager: launches the first node, hands out
 //! client connections, and shuts the whole deployment down.
 
-use crate::node::{spawn_node, Deployment, NetFaults};
+use crate::node::{spawn_node, wake, Deployment, NetFaults};
 use sdr_core::msg::Endpoint;
 use sdr_core::{FaultPlan, SdrConfig, ServerId, Stats};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 /// Deployment tuning knobs beyond the SD-Rtree configuration itself.
 #[derive(Clone, Debug)]
@@ -59,9 +59,12 @@ impl NetCluster {
             next_server: Arc::new(AtomicU32::new(1)),
             config,
             stop: Arc::new(AtomicBool::new(false)),
+            nodes: Mutex::new(Vec::new()),
             handle_lock: Arc::new(Mutex::new(())),
             in_flight: Arc::new(std::sync::atomic::AtomicI64::new(0)),
             delivery_failures: AtomicU64::new(0),
+            event_seq: Mutex::new(0),
+            event: Condvar::new(),
             faults: Mutex::new(faults),
             delayed: Mutex::new(Vec::new()),
             send_attempts: options.send_attempts.max(1),
@@ -88,8 +91,10 @@ impl NetCluster {
         self.deployment.delivery_failures.load(Ordering::SeqCst)
     }
 
-    /// Server-bound messages currently in flight (negative transients
-    /// only occur when raw, unsolicited frames hit a node listener).
+    /// Frames currently in flight: sent to a node and not yet handled,
+    /// or sent to a client and not yet queued in its inbox (negative
+    /// transients only occur when raw, unsolicited frames hit a
+    /// listener).
     pub fn in_flight(&self) -> i64 {
         self.deployment.in_flight.load(Ordering::SeqCst)
     }
@@ -143,11 +148,26 @@ impl NetCluster {
         self.deployment.deregister(Endpoint::Server(id));
     }
 
-    /// Stops every node (their accept loops observe the flag within a
-    /// millisecond or two).
+    /// Stops every node: sets the stop flag, wakes each node out of
+    /// `accept`, and joins its thread. Idempotent.
     pub fn shutdown(&self) {
-        self.deployment.stop.store(true, Ordering::SeqCst);
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        let deployment = &self.deployment;
+        deployment.stop.store(true, Ordering::SeqCst);
+        // A node still handling a frame may spawn another before it
+        // stops; take the list until it stays empty.
+        loop {
+            let nodes =
+                std::mem::take(&mut *deployment.nodes.lock().unwrap_or_else(|e| e.into_inner()));
+            if nodes.is_empty() {
+                return;
+            }
+            for (port, _) in &nodes {
+                wake(*port);
+            }
+            for (_, node) in nodes {
+                let _ = node.join();
+            }
+        }
     }
 }
 

@@ -9,13 +9,15 @@
 //! * [`wire`] — a compact, hand-rolled binary codec for every protocol
 //!   message (length-prefixed frames; no serialization framework), over
 //!   the first-party [`buf`] byte cursors.
-//! * [`node`] — a thread-per-server TCP node: accepts frames, feeds them
-//!   to the embedded [`sdr_core::Server`], ships the outbox.
+//! * [`node`] — a thread-per-server TCP node: blocks in `accept`, feeds
+//!   each frame to the embedded [`sdr_core::Server`], ships the outbox.
 //! * [`cluster`] — a process-local deployment manager that binds
 //!   listeners, spawns nodes when servers split, and tears everything
 //!   down.
 //! * [`client`] — a TCP client component maintaining an image (the
-//!   IMCLIENT variant), with the direct termination protocol of §4.3.
+//!   IMCLIENT variant), with the direct termination protocol of §4.3. A
+//!   reader thread per client blocks on its reply listener and queues
+//!   every frame in the client's inbox.
 //!
 //! Every node binds an OS-assigned port registered in the deployment's
 //! address directory — the role a node manager plays in a production
@@ -25,6 +27,14 @@
 //! concurrency control, which the paper itself lists as open (§6): the
 //! deployment serializes message handling and clients quiesce between
 //! operations, matching the paper's own evaluation regime.
+//!
+//! Every wait is event-driven; no fixed sleep decides when an operation
+//! is complete. The deployment counts each frame as in flight from send
+//! until its receiver settles it: a node after handling it, a client's
+//! reader once the frame is queued in the client's inbox. Quiescence —
+//! zero in flight — therefore means every reply and insert
+//! acknowledgment is already in its client's inbox, and queries finish
+//! by the termination protocol's own accounting.
 //!
 //! ## Example
 //!
@@ -50,6 +60,6 @@ pub mod cluster;
 pub mod node;
 pub mod wire;
 
-pub use client::{NetClient, NetError, ACK_GRACE};
+pub use client::{NetClient, NetError};
 pub use cluster::{NetCluster, NetOptions};
 pub use wire::{decode_message, encode_message, WireError};

@@ -1,10 +1,10 @@
 //! A TCP server node: one SD-Rtree server behind a socket.
 //!
-//! Each node runs an accept loop on `base_port + 1 + server_id`. A
-//! connection carries exactly one frame (a [`sdr_core::Message`]); the
-//! node feeds it to the embedded [`Server`] state machine and ships the
-//! resulting outbox — server-bound messages to peer ports, client-bound
-//! messages to the client's reply port (`base_port - 1 - client_id`).
+//! Each node blocks in `accept` on an OS-assigned port registered in the
+//! deployment's address directory. A connection carries exactly one
+//! frame (a [`sdr_core::Message`]); the node feeds it to the embedded
+//! [`Server`] state machine and ships the resulting outbox — to peer
+//! nodes and to clients' reply ports alike.
 //!
 //! When the state machine allocates a new server (a split), the node
 //! *synchronously* binds the new server's listener before forwarding any
@@ -19,8 +19,9 @@ use sdr_core::{Allocator, FaultInjector, Outbox, SdrConfig, Server, ServerId, St
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// Deterministic fault injection for the TCP substrate: the injector
 /// executing a [`sdr_core::FaultPlan`] plus its own fault counters
@@ -34,7 +35,8 @@ pub(crate) struct NetFaults {
 }
 
 /// Shared deployment state every node needs: the address directory, the
-/// server id allocator, and the shutdown flag.
+/// server id allocator, the shutdown flag, and the delivery accounting
+/// clients wait on.
 #[derive(Debug)]
 pub(crate) struct Deployment {
     /// Address directory: endpoint → OS-assigned port. Every listener
@@ -47,6 +49,9 @@ pub(crate) struct Deployment {
     pub next_server: Arc<AtomicU32>,
     pub config: SdrConfig,
     pub stop: Arc<AtomicBool>,
+    /// Every node thread with its listener's port, so shutdown can wake
+    /// each one out of `accept` and join it.
+    pub nodes: Mutex<Vec<(u16, JoinHandle<()>)>>,
     /// Serializes message *handling* across the deployment.
     ///
     /// The paper leaves concurrency control explicitly open (§6: "our
@@ -61,21 +66,24 @@ pub(crate) struct Deployment {
     /// processing (frames queue in the OS accept backlog), so the lock
     /// cannot deadlock.
     pub handle_lock: Arc<std::sync::Mutex<()>>,
-    /// Server-bound messages sent but not yet fully handled. Clients
-    /// wait for this to drop to zero between operations
+    /// Frames sent but not yet settled by their receiver. Clients wait
+    /// for this to drop to zero between operations
     /// ([`crate::NetClient::quiesce`]), reproducing the simulator's
     /// sequential-operation semantics over real sockets — overlapping
     /// maintenance chains are exactly the concurrency problem the paper
     /// leaves open.
     ///
     /// Every delivery path keeps the pairing exact: the sender
-    /// increments when it commits to a server-bound frame, and the
-    /// receiver decrements once — after handling it, or on *any* failure
-    /// to read/decode it (the failure path also bumps
+    /// increments when it commits to a frame, and the receiver
+    /// decrements once — a node after handling it, a client's reply
+    /// reader after queueing it in the client's inbox, either of them on
+    /// *any* failure to read/decode it (the failure path also bumps
     /// [`Deployment::delivery_failures`], so the loss is observable).
-    /// Unsolicited frames (raw connections that never went through
-    /// `send_message`) can push the count transiently below zero, which
-    /// is why quiescence tests `> 0`, not `!= 0`.
+    /// Zero therefore means every reply, acknowledgment and IAM is
+    /// already in its client's inbox. Unsolicited frames (raw
+    /// connections that never went through `send_message`) can push the
+    /// count transiently below zero, which is why quiescence tests
+    /// `> 0`, not `!= 0`.
     pub in_flight: Arc<std::sync::atomic::AtomicI64>,
     /// Monotonic count of messages this deployment failed to deliver:
     /// frames undeliverable after every connect attempt, frames that
@@ -84,6 +92,12 @@ pub(crate) struct Deployment {
     /// [`crate::client::NetError::Undeliverable`] instead of a silent
     /// drop or a hang-until-timeout.
     pub delivery_failures: AtomicU64,
+    /// Bumped, under its lock, whenever `in_flight` settles to zero or
+    /// below, a delivery failure is recorded, or a client's reply reader
+    /// queues a frame; [`Deployment::wait_event`] blocks on it.
+    pub event_seq: Mutex<u64>,
+    /// Signalled with every `event_seq` bump.
+    pub event: Condvar,
     /// Deterministic fault injection (`None` in normal deployments).
     pub faults: Mutex<Option<NetFaults>>,
     /// Messages held back by delay/reorder injection, with the number of
@@ -128,9 +142,57 @@ impl Deployment {
             .remove(&endpoint);
     }
 
-    /// Counts one failed delivery.
+    /// Counts one failed delivery and wakes every waiter.
     pub fn record_delivery_failure(&self) {
         self.delivery_failures.fetch_add(1, Ordering::SeqCst);
+        self.notify();
+    }
+
+    /// Settles one counted frame; waiters wake once nothing is in flight.
+    pub fn settle(&self) {
+        if self.in_flight.fetch_sub(1, Ordering::SeqCst) <= 1 {
+            self.notify();
+        }
+    }
+
+    /// Books a counted frame that arrived but could not be processed:
+    /// settles the sender's `in_flight` increment and counts the loss.
+    pub fn read_failure(&self) {
+        self.in_flight.fetch_sub(1, Ordering::SeqCst);
+        self.record_delivery_failure();
+        self.with_metrics(|m| m.inc("frame/read_failure"));
+    }
+
+    /// Records an event and wakes every thread in [`Deployment::wait_event`].
+    pub fn notify(&self) {
+        let mut seq = self.event_seq.lock().unwrap_or_else(|e| e.into_inner());
+        *seq = seq.wrapping_add(1);
+        self.event.notify_all();
+    }
+
+    /// The current event number: read it *before* checking the state
+    /// to wait on, then pass it to [`Deployment::wait_event`], so an
+    /// event between the check and the wait is never missed.
+    pub fn event_seq(&self) -> u64 {
+        *self.event_seq.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Blocks until an event after `seen` is recorded; `false` if the
+    /// deadline passes first.
+    pub fn wait_event(&self, seen: u64, deadline: Instant) -> bool {
+        let mut seq = self.event_seq.lock().unwrap_or_else(|e| e.into_inner());
+        while *seq == seen {
+            let now = Instant::now();
+            if now >= deadline {
+                return false;
+            }
+            seq = self
+                .event
+                .wait_timeout(seq, deadline - now)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
+        }
+        true
     }
 
     /// Runs `f` against the metrics registry if one is installed. The
@@ -180,73 +242,69 @@ impl Deployment {
 /// port), then spawns its accept loop.
 pub(crate) fn spawn_node(deployment: Arc<Deployment>, id: ServerId) -> std::io::Result<()> {
     let listener = TcpListener::bind(("127.0.0.1", 0))?;
-    deployment.register(Endpoint::Server(id), listener.local_addr()?.port());
-    listener.set_nonblocking(true)?;
+    let port = listener.local_addr()?.port();
+    deployment.register(Endpoint::Server(id), port);
     let server = if id.0 == 0 {
         Server::new(id, deployment.config)
     } else {
         Server::bare(id, deployment.config)
     };
-    std::thread::Builder::new()
-        .name(format!("sdr-node-{}", id.0))
-        .spawn(move || accept_loop(deployment, listener, server))?;
+    let node = {
+        let deployment = deployment.clone();
+        std::thread::Builder::new()
+            .name(format!("sdr-node-{}", id.0))
+            .spawn(move || accept_loop(deployment, listener, server))?
+    };
+    deployment
+        .nodes
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .push((port, node));
     Ok(())
 }
 
 /// Backoff before retrying after a failed `accept`. Transient conditions
 /// (`ECONNABORTED` from a handshake the peer gave up on, `EMFILE`/
 /// `ENFILE` descriptor pressure, `EINTR`) clear themselves; the only
-/// legitimate way for a node to stop serving is the deployment's stop
-/// flag. Exponential up to a bound so a persistent error cannot spin a
-/// core, yet recovery is observed within `ACCEPT_BACKOFF_CAP`.
+/// legitimate way for a listener to stop serving is its stop flag.
+/// Exponential up to a bound so a persistent error cannot spin a core,
+/// yet recovery is observed within `ACCEPT_BACKOFF_CAP`.
 pub(crate) fn accept_backoff(consecutive_errors: u32) -> Duration {
     let ms = 1u64 << consecutive_errors.min(6);
     Duration::from_millis(ms.min(ACCEPT_BACKOFF_CAP.as_millis() as u64))
 }
 
-/// The longest a node ever sleeps between accept retries.
+/// The longest a listener ever sleeps between accept retries.
 pub(crate) const ACCEPT_BACKOFF_CAP: Duration = Duration::from_millis(50);
 
-fn accept_loop(deployment: Arc<Deployment>, listener: TcpListener, mut server: Server) {
+/// Blocks in `accept` and hands every connection's frame to `on_frame`
+/// (`None`: the frame was truncated or undecodable) until `stop` is set
+/// and the listener is woken by [`wake`]. The wake-up connection carries
+/// no bytes, so after the stop flag an empty read is taken for it, not
+/// for a lost frame; real frames queued ahead of it are still handed on.
+pub(crate) fn accept_frames(
+    listener: &TcpListener,
+    stop: &AtomicBool,
+    mut on_frame: impl FnMut(Option<Message>),
+) {
     let mut consecutive_errors: u32 = 0;
-    while !deployment.stop.load(Ordering::SeqCst) {
+    loop {
         match listener.accept() {
             Ok((stream, _)) => {
                 consecutive_errors = 0;
-                match read_frame(stream) {
-                    Some(msg) => {
-                        deployment.with_metrics(|m| m.inc("frame/read"));
-                        // Receive-side fault injection: the frame arrived
-                        // but is treated as unreadable.
-                        let corrupt = {
-                            let mut guard =
-                                deployment.faults.lock().unwrap_or_else(|e| e.into_inner());
-                            guard.as_mut().is_some_and(|nf| {
-                                let category = msg.payload.category();
-                                nf.injector.decide_corrupt(category, &mut nf.stats)
-                            })
-                        };
-                        if corrupt {
-                            read_failure(&deployment);
-                        } else {
-                            handle_message(&deployment, &mut server, msg);
-                        }
-                    }
-                    // Timeout, truncation, or decode error: the frame is
-                    // lost, but the sender already counted it in
-                    // `in_flight` — settle the account and make the loss
-                    // observable instead of leaking the count and hanging
-                    // every subsequent quiesce.
-                    None => read_failure(&deployment),
+                let frame = read_frame(stream);
+                if frame.is_none() && stop.load(Ordering::SeqCst) {
+                    return;
                 }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
+                on_frame(frame);
             }
             // Transient accept errors (ECONNABORTED, EMFILE, EINTR, ...)
-            // must not kill the server thread forever; retry with bounded
+            // must not kill the thread forever; retry with bounded
             // backoff and let only the stop flag end the loop.
             Err(_) => {
+                if stop.load(Ordering::SeqCst) {
+                    return;
+                }
                 consecutive_errors = consecutive_errors.saturating_add(1);
                 std::thread::sleep(accept_backoff(consecutive_errors));
             }
@@ -254,15 +312,37 @@ fn accept_loop(deployment: Arc<Deployment>, listener: TcpListener, mut server: S
     }
 }
 
-/// Books a server-bound frame that arrived but could not be processed:
-/// pairs off the sender's `in_flight` increment and counts the loss.
-/// Only `send_message` connects to node listeners, so every frame here
-/// was counted by a sender (unsolicited test frames drive the count
-/// transiently negative, which quiescence tolerates by testing `> 0`).
-fn read_failure(deployment: &Deployment) {
-    deployment.in_flight.fetch_sub(1, Ordering::SeqCst);
-    deployment.record_delivery_failure();
-    deployment.with_metrics(|m| m.inc("frame/read_failure"));
+/// Wakes a listener blocked in [`accept_frames`] with an empty
+/// connection; set its stop flag first.
+pub(crate) fn wake(port: u16) {
+    let _ = TcpStream::connect(("127.0.0.1", port));
+}
+
+fn accept_loop(deployment: Arc<Deployment>, listener: TcpListener, mut server: Server) {
+    accept_frames(&listener, &deployment.stop, |frame| match frame {
+        Some(msg) => {
+            deployment.with_metrics(|m| m.inc("frame/read"));
+            // Receive-side fault injection: the frame arrived but is
+            // treated as unreadable.
+            let corrupt = {
+                let mut guard = deployment.faults.lock().unwrap_or_else(|e| e.into_inner());
+                guard.as_mut().is_some_and(|nf| {
+                    let category = msg.payload.category();
+                    nf.injector.decide_corrupt(category, &mut nf.stats)
+                })
+            };
+            if corrupt {
+                deployment.read_failure();
+            } else {
+                handle_message(&deployment, &mut server, msg);
+            }
+        }
+        // Timeout, truncation, or decode error: the frame is lost, but
+        // the sender already counted it in `in_flight` — settle the
+        // account and make the loss observable instead of leaking the
+        // count and hanging every subsequent quiesce.
+        None => deployment.read_failure(),
+    });
 }
 
 fn handle_message(deployment: &Arc<Deployment>, server: &mut Server, msg: Message) {
@@ -306,7 +386,7 @@ fn handle_message(deployment: &Arc<Deployment>, server: &mut Server, msg: Messag
     for m in out.deferred {
         send_message(deployment, &m);
     }
-    deployment.in_flight.fetch_sub(1, Ordering::SeqCst);
+    deployment.settle();
 }
 
 /// Dispatches one message: consults the fault plan (if any), then
@@ -366,11 +446,8 @@ pub(crate) fn send_message(deployment: &Deployment, msg: &Message) {
 /// never silently dropped — so clients report it as an explicit
 /// [`crate::client::NetError::Undeliverable`].
 fn transmit(deployment: &Deployment, msg: &Message) {
-    let is_server_bound = matches!(msg.to, Endpoint::Server(_));
-    if is_server_bound {
-        let depth = deployment.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
-        deployment.with_metrics(|m| m.set_gauge("net/in_flight", depth));
-    }
+    let depth = deployment.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+    deployment.with_metrics(|m| m.set_gauge("net/in_flight", depth));
     let frame = encode_message(msg);
     deployment.with_metrics(|m| {
         m.inc("frame/write");
@@ -388,13 +465,15 @@ fn transmit(deployment: &Deployment, msg: &Message) {
                 }
             }
         }
+        // A stopped deployment has no listener left to wait for.
+        if deployment.stop.load(Ordering::SeqCst) {
+            break;
+        }
         std::thread::sleep(Duration::from_millis(2 * (attempt + 1)));
     }
     deployment.record_delivery_failure();
-    if is_server_bound {
-        // Keep the quiescence accounting truthful.
-        deployment.in_flight.fetch_sub(1, Ordering::SeqCst);
-    }
+    // Keep the quiescence accounting truthful.
+    deployment.settle();
 }
 
 /// Reads one length-prefixed frame from a stream and decodes it.

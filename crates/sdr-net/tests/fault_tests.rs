@@ -19,6 +19,14 @@ fn settle() {
     std::thread::sleep(Duration::from_millis(300));
 }
 
+/// Waits, boundedly, for the deployment to count a delivery failure.
+fn await_failure(cluster: &NetCluster) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while cluster.delivery_failures() == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 fn grid_insert(client: &mut NetClient, n: u64) {
     for i in 0..n {
         let x = (i % 10) as f64 / 10.0;
@@ -39,7 +47,7 @@ fn truncated_frame_is_counted_and_does_not_hang() {
     let cluster = NetCluster::launch(SdrConfig::with_capacity(25)).unwrap();
     let mut client = NetClient::connect(&cluster).unwrap();
     grid_insert(&mut client, 30);
-    settle();
+    client.quiesce().unwrap();
     assert_eq!(cluster.delivery_failures(), 0);
 
     // A raw, truncated frame: the length prefix promises 64 bytes, the
@@ -49,7 +57,9 @@ fn truncated_frame_is_counted_and_does_not_hang() {
     raw.write_all(&64u32.to_le_bytes()).unwrap();
     raw.write_all(&[1, 2, 3]).unwrap();
     drop(raw);
-    settle();
+    // The raw frame never went through `in_flight`, so quiescence cannot
+    // see it; wait for its failure to be booked instead.
+    await_failure(&cluster);
     assert!(
         cluster.delivery_failures() >= 1,
         "truncated frame was not counted"
@@ -94,7 +104,7 @@ fn dead_listener_reports_undeliverable_not_timeout() {
     let mut client = NetClient::connect(&cluster).unwrap();
     client.timeout = Duration::from_secs(30);
     grid_insert(&mut client, 60);
-    settle();
+    client.quiesce().unwrap();
     let servers = cluster.num_servers();
     assert!(servers >= 2, "need a split for this test, got {servers}");
 
@@ -123,7 +133,7 @@ fn dead_listener_reports_undeliverable_not_timeout() {
 /// raw socket: corrupting every inbound Insert frame used to increment
 /// `in_flight` on the send side with no matching decrement, so quiesce
 /// spun until the client timeout. With the decrement restored, the
-/// corruption is counted and reported within one grace period.
+/// corruption is counted and reported as soon as it is booked.
 #[test]
 fn corrupt_inbound_frames_fail_fast_instead_of_leaking_in_flight() {
     let plan = FaultPlan::none().with_corrupt_for(MsgCategory::Insert, 1.0);
@@ -162,8 +172,8 @@ fn corrupt_inbound_frames_fail_fast_instead_of_leaking_in_flight() {
 /// Bug 3 regression: delayed IAM traffic (insert acks) used to race a
 /// zero-length grace window — the ack arrived after `insert` stopped
 /// listening and was dropped on the floor, leaving the image
-/// permanently stale. The bounded grace window plus stray-ack folding
-/// in every receive loop absorbs it whenever it lands.
+/// permanently stale. Quiescence now flushes the delay lane and counts
+/// the ack until it is queued, so `insert` absorbs it before returning.
 #[test]
 fn delayed_acks_still_correct_the_image() {
     let plan = FaultPlan::none()
@@ -220,7 +230,7 @@ fn seeded_drop_plan_reports_every_loss() {
     // Build fault-free traffic first? No — replies are client-bound
     // only, so inserts (acks are Iam, not Reply) build fine.
     grid_insert(&mut client, 60);
-    settle();
+    client.quiesce().unwrap();
 
     let mut reported = 0u32;
     let mut completed = 0u32;
